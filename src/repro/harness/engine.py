@@ -7,9 +7,10 @@ path into explicit *jobs* so that sweeps can be batched, deduplicated,
 parallelized and cached:
 
 * :class:`TraceSpec` names a generated workload trace (benchmark name,
-  length, seed) without materializing it; the trace is rebuilt inside
+  length, seed) without materializing it; the trace is built inside
   whichever process executes the job (generation is deterministic by
-  contract - see ``Trace.fingerprint`` and its regression test).
+  contract - see ``Trace.fingerprint`` and its regression test), once per
+  batch for all of the jobs that simulate it.
 * :class:`SimJob` is one simulation: a :class:`~repro.config.SystemConfig`,
   a :class:`TraceSpec`, and a security-model name. Jobs are hashable values
   with a stable content :meth:`~SimJob.fingerprint`.
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..address import Geometry
 from ..config import SystemConfig
 from ..errors import EngineError
 from ..gpu.gpusim import DEFAULT_PROGRESS_EPOCH, RunResult
@@ -84,6 +86,10 @@ class TraceSpec:
     seed: int
     tenants: int = 1
     tenant_mix: str = "mirror"
+
+    def key(self, config: SystemConfig) -> Tuple["TraceSpec", int, Geometry]:
+        """Everything :meth:`build` depends on: equal keys, equal traces."""
+        return self, config.gpu.num_sms, config.geometry
 
     def build(self, config: SystemConfig) -> Trace:
         """Materialize the trace for ``config``'s SM count and geometry."""
@@ -174,6 +180,7 @@ class SimJob:
         progress=None,
         progress_epoch: int = DEFAULT_PROGRESS_EPOCH,
         kernel: Optional[str] = None,
+        traces: Optional[Dict[tuple, Trace]] = None,
     ) -> RunResult:
         """Run the simulation (in whatever process this is called from).
 
@@ -182,9 +189,24 @@ class SimJob:
         kernels produce bit-identical results, so they share one cache
         slot (a batched run can be served by a scalar-produced entry and
         vice versa).
+
+        ``traces`` shares built traces between the jobs of one batch,
+        keyed by :meth:`TraceSpec.key`. A job whose trace is missing
+        builds it here, so the build is charged to the first job that
+        needs it, and it first drops any other trace the dict holds: a
+        batch keeps at most one trace alive. Simulation never mutates a
+        trace, so sharing it changes no result.
         """
+        if traces is None:
+            trace = self.trace.build(self.config)
+        else:
+            key = self.trace.key(self.config)
+            trace = traces.get(key)
+            if trace is None:
+                traces.clear()
+                trace = traces[key] = self.trace.build(self.config)
         return run_model(
-            self.config, self.trace.build(self.config), self.model,
+            self.config, trace, self.model,
             tracer=tracer, progress=progress, progress_epoch=progress_epoch,
             kernel=kernel,
         )
@@ -384,6 +406,7 @@ def _execute_job(
     progress_events=None,
     progress_epoch: int = DEFAULT_PROGRESS_EPOCH,
     kernel: Optional[str] = None,
+    traces: Optional[Dict[tuple, Trace]] = None,
 ) -> Tuple[bool, object, float]:
     """Worker entry point: run one job, never raise.
 
@@ -392,7 +415,8 @@ def _execute_job(
     as data instead of killing the pool or the batch. With ``trace_path``
     set, the job runs under a :class:`~repro.sim.trace.Tracer` and its
     Chrome trace is written there (from whichever process executed it)
-    before the result returns.
+    before the result returns. ``traces`` is the batch's shared trace
+    slot (see :meth:`SimJob.execute`).
 
     ``progress_events`` (anything with ``.put(dict)`` - a multiprocessing
     queue proxy from the parallel path, a :class:`_CallbackSink` from the
@@ -416,21 +440,36 @@ def _execute_job(
 
             tracer = Tracer()
             result = job.execute(tracer=tracer, progress=progress,
-                                 progress_epoch=progress_epoch, kernel=kernel)
+                                 progress_epoch=progress_epoch, kernel=kernel,
+                                 traces=traces)
             tracer.write(trace_path)
             return True, result, time.perf_counter() - started
         result = job.execute(progress=progress, progress_epoch=progress_epoch,
-                             kernel=kernel)
+                             kernel=kernel, traces=traces)
         return True, result, time.perf_counter() - started
     except Exception:
         return False, traceback.format_exc(), time.perf_counter() - started
 
 
-def _execute_job_entry(
-    item: Tuple[SimJob, Optional[str], object, int, Optional[str]]
-) -> Tuple[bool, object, float]:
-    """Picklable star-apply wrapper for :func:`_execute_job` (pool.map)."""
-    return _execute_job(*item)
+def _execute_group_entry(
+    item: Tuple[List[Tuple[SimJob, Optional[str]]], object, int, Optional[str]]
+) -> List[Tuple[bool, object, float]]:
+    """Pool task: run one trace group's ``(job, trace_path)`` pairs in
+    order, building their shared trace once in this worker."""
+    group, progress_events, progress_epoch, kernel = item
+    traces: Dict[tuple, Trace] = {}
+    return [
+        _execute_job(job, trace_path, progress_events, progress_epoch, kernel, traces)
+        for job, trace_path in group
+    ]
+
+
+def _trace_groups(jobs: Sequence[SimJob]) -> List[List[SimJob]]:
+    """``jobs`` bucketed by the trace they simulate, in first-seen order."""
+    groups: Dict[tuple, List[SimJob]] = {}
+    for job in jobs:
+        groups.setdefault(job.trace.key(job.config), []).append(job)
+    return list(groups.values())
 
 
 class ExperimentEngine:
@@ -536,7 +575,7 @@ class ExperimentEngine:
             pending.append(job)
 
         if pending:
-            for job, (ok, payload, wall) in zip(pending, self._execute_batch(pending)):
+            for job, (ok, payload, wall) in self._execute_batch(_trace_groups(pending)):
                 self.stats.simulations += 1
                 if ok:
                     result = payload
@@ -622,15 +661,18 @@ class ExperimentEngine:
         return self.map([job])[job]
 
     def _execute_batch(
-        self, pending: Sequence[SimJob]
-    ) -> List[Tuple[bool, object, float]]:
-        """Run misses, in parallel when configured and possible.
+        self, groups: Sequence[Sequence[SimJob]]
+    ) -> List[Tuple[SimJob, Tuple[bool, object, float]]]:
+        """Run misses, one trace group after another, in parallel when
+        configured and possible; ``(job, outcome)`` pairs in group order.
 
-        Emits the terminal ``done``/``error`` progress event for each job as
-        its result arrives - incrementally, not after the whole batch.
+        The jobs of a group simulate one trace, which is built once and
+        dropped before the next group's is built. Emits the terminal
+        ``done``/``error`` progress event for each job as its result
+        arrives - incrementally, not after the whole batch.
         """
-        if self.workers > 1 and len(pending) > 1:
-            results = self._execute_parallel(pending)
+        if self.workers > 1 and len(groups) > 1:
+            results = self._execute_parallel(groups)
             if results is not None:
                 return results
             # Pool unavailable (restricted sandbox, broken pickling,
@@ -638,20 +680,23 @@ class ExperimentEngine:
             # pool died mid-batch, a handful of done events may repeat -
             # cosmetic only; outcomes come solely from the serial rerun.
         sink = _CallbackSink(self.progress) if self.progress is not None else None
+        traces: Dict[tuple, Trace] = {}
         results = []
-        for job in pending:
+        for job in (job for group in groups for job in group):
             outcome = _execute_job(
                 job, self._trace_path_for(job), sink, self.progress_epoch,
-                self.kernel,
+                self.kernel, traces,
             )
             self._emit_done(job.label(), outcome[0], "run", outcome[2])
-            results.append(outcome)
+            results.append((job, outcome))
         return results
 
     def _execute_parallel(
-        self, pending: Sequence[SimJob]
-    ) -> Optional[List[Tuple[bool, object, float]]]:
-        """Pool execution; None when no pool could run the batch."""
+        self, groups: Sequence[Sequence[SimJob]]
+    ) -> Optional[List[Tuple[SimJob, Tuple[bool, object, float]]]]:
+        """Pool execution, one task per trace group (so a worker builds
+        each trace once and no trace is pickled); None when no pool could
+        run the batch."""
         import multiprocessing
 
         manager = None
@@ -665,16 +710,17 @@ class ExperimentEngine:
                 events = manager.Queue()
                 drainer = _QueueDrainer(events, self.progress)
             items = [
-                (job, self._trace_path_for(job), events, self.progress_epoch,
-                 self.kernel)
-                for job in pending
+                ([(job, self._trace_path_for(job)) for job in group], events,
+                 self.progress_epoch, self.kernel)
+                for group in groups
             ]
-            workers = min(self.workers, len(pending))
-            results: List[Tuple[bool, object, float]] = []
+            workers = min(self.workers, len(groups))
+            results: List[Tuple[SimJob, Tuple[bool, object, float]]] = []
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for job, outcome in zip(pending, pool.map(_execute_job_entry, items)):
-                    self._emit_done(job.label(), outcome[0], "run", outcome[2])
-                    results.append(outcome)
+                for group, outcomes in zip(groups, pool.map(_execute_group_entry, items)):
+                    for job, outcome in zip(group, outcomes):
+                        self._emit_done(job.label(), outcome[0], "run", outcome[2])
+                        results.append((job, outcome))
             return results
         except Exception:
             return None

@@ -9,10 +9,6 @@ What *can* leave the per-request loop is everything static:
 * per-epoch numpy precompute of all address arithmetic (page, block- and
   sector-in-page, SM/GPC/warp routing) as shift/mask array ops over the
   trace's dense int64 columns;
-* a one-shot :meth:`MemoryFabric.locate_batch` warm per epoch covering
-  the epoch's resident pages (per-device planes merged by
-  ``(timestamp, device, seq)``), so the fused loop's coordinate lookups
-  are memo hits;
 * inlined hot-path fast cases (mapping-cache hit + resident page, L2
   sector hit, L2 write to a present line) that replicate the scalar
   transitions - including hit/miss tallies and LRU movement - without
@@ -33,10 +29,8 @@ from typing import Iterable
 from . import require_numpy
 from ..errors import IsolationError, TraceError
 
-#: Requests per vectorized slab. Large enough to amortize the numpy ops,
-#: small enough that the per-epoch locate warm runs after the early
-#: epochs' migration fills have built residency (a single huge slab would
-#: warm against an empty page cache and win nothing).
+#: Requests per vectorized slab: large enough to amortize the numpy ops,
+#: small enough to keep each slab's precomputed columns cheap to hold.
 EPOCH_SIZE = 2048
 
 
@@ -49,29 +43,6 @@ def _as_dense(requests: Iterable):
     if isinstance(requests, Trace):
         return requests.dense()
     return DenseTrace.from_requests(list(requests))
-
-
-def _warm_locations(fabric, epoch_addrs, page_bytes, pc_frames, num_frames):
-    """Batch-locate the epoch's resident, not-yet-memoized sectors.
-
-    Frames are read from the page cache *as of the epoch start*; a page
-    that migrates mid-epoch simply misses the warm entry and takes the
-    scalar ``locate`` in the loop. Either way every produced ``SectorLoc``
-    is keyed by (addr, frame), so warming is observationally inert.
-    """
-    import numpy as np
-
-    uniq = np.unique(epoch_addrs)
-    loc_cache = fabric._loc_cache
-    miss_addrs = []
-    miss_frames = []
-    for addr, page in zip(uniq.tolist(), (uniq // page_bytes).tolist()):
-        frame = pc_frames.get(page)
-        if frame is not None and addr * num_frames + frame not in loc_cache:
-            miss_addrs.append(addr)
-            miss_frames.append(frame)
-    if miss_addrs:
-        fabric.locate_batch(miss_addrs, miss_frames)
 
 
 def run_batched(sim, requests: Iterable, compute_per_mem: int = 0) -> None:
@@ -167,9 +138,6 @@ def run_batched(sim, requests: Iterable, compute_per_mem: int = 0) -> None:
             )
         gpc_v = smx_v // sms_per_gpc
         warp_v = warp_arr[start:start + limit] % warps
-
-        if limit and not chunk_mode:
-            _warm_locations(fabric, av, page_bytes, pc_frames, num_frames)
 
         rows = zip(
             av.tolist(), pages_v.tolist(), bip_v.tolist(), sib_v.tolist(),

@@ -18,13 +18,12 @@ exposes it as :attr:`MemoryFabric.shard`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..address import ShardMap, TenantMap
 from ..config import SystemConfig
 from ..crypto.keys import KeySet
-from ..errors import SimulationError
+from ..errors import AddressError, SimulationError
 from ..memsys.channel import Channel, CryptoEngine, LinkPair
 from ..memsys.interleave import Interleaver
 from ..metadata.bmt import BMTGeometry
@@ -36,21 +35,58 @@ BMT_NODE_BYTES = 64
 METADATA_UNIT_BYTES = 32
 
 
-@dataclass(frozen=True)
 class SectorLoc:
-    """Full coordinates of one data sector in both address spaces."""
+    """Full coordinates of one data sector in both address spaces.
 
-    cxl_addr: int          # byte address in the CXL (home) space
-    page: int              # CXL page number
-    sector_in_page: int
-    chunk_in_page: int
-    sector_in_chunk: int
-    frame: int             # device frame holding the page
-    channel: int           # device channel owning the sector's chunk
-    local_sector: int      # channel-local sector slot
-    local_chunk: int       # channel-local chunk slot
-    device_chunk: int      # global device chunk id (frame-based)
-    home_device: int = 0   # CXL expansion device homing this page
+    A plain slotted record: :meth:`MemoryFabric.locate` builds one per
+    distinct ``(cxl_addr, frame)`` and memoizes it, so every holder of a
+    location shares one object. Treat it as read-only; it compares and
+    hashes by identity, never by value.
+    """
+
+    __slots__ = (
+        "cxl_addr",         # byte address in the CXL (home) space
+        "page",             # CXL page number
+        "sector_in_page",
+        "chunk_in_page",
+        "sector_in_chunk",
+        "frame",            # device frame holding the page
+        "channel",          # device channel owning the sector's chunk
+        "local_sector",     # channel-local sector slot
+        "local_chunk",      # channel-local chunk slot
+        "device_chunk",     # global device chunk id (frame-based)
+        "home_device",      # CXL expansion device homing this page
+    )
+
+    def __init__(
+        self,
+        cxl_addr: int,
+        page: int,
+        sector_in_page: int,
+        chunk_in_page: int,
+        sector_in_chunk: int,
+        frame: int,
+        channel: int,
+        local_sector: int,
+        local_chunk: int,
+        device_chunk: int,
+        home_device: int = 0,
+    ) -> None:
+        self.cxl_addr = cxl_addr
+        self.page = page
+        self.sector_in_page = sector_in_page
+        self.chunk_in_page = chunk_in_page
+        self.sector_in_chunk = sector_in_chunk
+        self.frame = frame
+        self.channel = channel
+        self.local_sector = local_sector
+        self.local_chunk = local_chunk
+        self.device_chunk = device_chunk
+        self.home_device = home_device
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
+        return f"SectorLoc({fields})"
 
     @property
     def local_block(self) -> int:
@@ -366,112 +402,41 @@ class MemoryFabric:
 
     # -- coordinates ---------------------------------------------------------
     def locate(self, cxl_addr: int, frame: int) -> SectorLoc:
+        """The memoized :class:`SectorLoc` of ``cxl_addr`` resident in ``frame``."""
         key = cxl_addr * self.num_frames + frame
         loc = self._loc_cache.get(key)
         if loc is not None:
             return loc
+        if cxl_addr < 0:
+            raise AddressError(f"negative address {cxl_addr:#x}")
         geom = self.geometry
-        page = geom.page_of(cxl_addr)
-        sector_in_page = geom.sector_in_page(cxl_addr)
-        chunk_in_page = geom.chunk_in_page(cxl_addr)
-        sector_in_chunk = geom.sector_in_chunk(cxl_addr)
-        channel, local_chunk = self.chunk_location(page, frame, chunk_in_page)
-        local_sector = local_chunk * geom.sectors_per_chunk + sector_in_chunk
+        page, in_page = divmod(cxl_addr, geom.page_bytes)
+        chunk_in_page, in_chunk = divmod(in_page, geom.chunk_bytes)
+        sector_in_chunk = in_chunk // geom.sector_bytes
         device_chunk = frame * geom.chunks_per_page + chunk_in_page
+        if self.tenant_map is None:
+            # Interleaver.device_chunk_location, inlined: round-robin over
+            # every channel by global device chunk id.
+            if frame < 0:
+                raise AddressError(f"negative frame {frame}")
+            local_chunk, channel = divmod(device_chunk, self.interleaver.num_channels)
+        else:
+            channel, local_chunk = self.chunk_location(page, frame, chunk_in_page)
         loc = SectorLoc(
-            cxl_addr=cxl_addr,
-            page=page,
-            sector_in_page=sector_in_page,
-            chunk_in_page=chunk_in_page,
-            sector_in_chunk=sector_in_chunk,
-            frame=frame,
-            channel=channel,
-            local_sector=local_sector,
-            local_chunk=local_chunk,
-            device_chunk=device_chunk,
-            home_device=self.home_of_page(page),
+            cxl_addr,
+            page,
+            in_page // geom.sector_bytes,
+            chunk_in_page,
+            sector_in_chunk,
+            frame,
+            channel,
+            local_chunk * geom.sectors_per_chunk + sector_in_chunk,
+            local_chunk,
+            device_chunk,
+            self.home_of_page(page),
         )
         self._loc_cache[key] = loc
         return loc
-
-    def locate_batch(self, cxl_addrs, frames, ts=None) -> List[SectorLoc]:
-        """Vectorized :meth:`locate` over parallel address/frame arrays.
-
-        All static coordinate math (page, chunk, sector, channel, local
-        slot) is computed with shift/mask array ops in one shot; each home
-        device's rows are then materialized as an independent batch and the
-        per-device results merged deterministically by
-        ``(timestamp, device, seq)`` - ``ts`` defaults to the row ordinal,
-        so the merged order is the input order regardless of how rows were
-        grouped across planes. Results are installed in (and served from)
-        the same memo the scalar path uses, so warming an epoch through
-        here is observationally inert. Requires numpy.
-        """
-        from ..kernel import require_numpy
-
-        np = require_numpy()
-        addrs = np.asarray(cxl_addrs, dtype=np.int64)
-        frs = np.asarray(frames, dtype=np.int64)
-        if addrs.shape != frs.shape:
-            raise SimulationError("locate_batch: addrs and frames must align")
-        n = int(addrs.size)
-        if n == 0:
-            return []
-        geom = self.geometry
-        geom._check_addr(int(addrs.min()))
-        if self.tenant_map is not None:
-            # Tenant-aware channel routing is per-page; the coordinates are
-            # pure and memoized, so a scalar sweep in input order matches
-            # the merged vectorized result exactly.
-            return [
-                self.locate(int(a), int(f))
-                for a, f in zip(addrs.tolist(), frs.tolist())
-            ]
-        ts_arr = np.arange(n, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
-        pages = addrs // geom.page_bytes
-        in_page = addrs % geom.page_bytes
-        sector_in_page = in_page // geom.sector_bytes
-        chunk_in_page = in_page // geom.chunk_bytes
-        sector_in_chunk = (addrs % geom.chunk_bytes) // geom.sector_bytes
-        channels, local_chunks = self.interleaver.device_chunk_locations(
-            frs, chunk_in_page
-        )
-        local_sectors = local_chunks * geom.sectors_per_chunk + sector_in_chunk
-        device_chunks = frs * geom.chunks_per_page + chunk_in_page
-        if self._single_device:
-            homes = np.zeros(n, dtype=np.int64)
-        else:
-            homes = self.shard.home_of_pages(pages)
-        columns = (addrs, pages, sector_in_page, chunk_in_page, sector_in_chunk,
-                   frs, channels, local_sectors, local_chunks, device_chunks)
-        merged = []
-        for device in range(self.num_devices):
-            idx = np.nonzero(homes == device)[0]
-            if idx.size == 0:
-                continue
-            plane = [col[idx].tolist() for col in columns]
-            for seq, (t, i, row) in enumerate(
-                zip(ts_arr[idx].tolist(), idx.tolist(), zip(*plane))
-            ):
-                merged.append((t, device, seq, i, row))
-        merged.sort(key=lambda item: (item[0], item[1], item[2]))
-        out: List[Optional[SectorLoc]] = [None] * n
-        cache = self._loc_cache
-        num_frames = self.num_frames
-        for t, device, seq, i, row in merged:
-            addr, page, sip, cip, sic, frame, channel, lsec, lchunk, dchunk = row
-            key = addr * num_frames + frame
-            loc = cache.get(key)
-            if loc is None:
-                loc = SectorLoc(
-                    cxl_addr=addr, page=page, sector_in_page=sip,
-                    chunk_in_page=cip, sector_in_chunk=sic, frame=frame,
-                    channel=channel, local_sector=lsec, local_chunk=lchunk,
-                    device_chunk=dchunk, home_device=device,
-                )
-                cache[key] = loc
-            out[i] = loc
-        return out
 
     # -- raw bookings ----------------------------------------------------------
     def device_read(

@@ -9,9 +9,7 @@ Two faces of the same request stream:
   kernel slices per epoch. Epoch slices are numpy views, so after the
   one-time columnarization the per-epoch cost is zero-copy.
 
-``ts`` is the request ordinal (issue order); it doubles as the timestamp
-component of the batched kernel's deterministic (timestamp, device, seq)
-merge key.
+``ts`` is the request ordinal (issue order).
 """
 
 from __future__ import annotations

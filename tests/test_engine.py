@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.harness.engine as engine_mod
 from repro.config import SystemConfig
 from repro.errors import EngineError
 from repro.harness.engine import (
@@ -17,9 +18,14 @@ from repro.harness.engine import (
     SimJob,
     TraceSpec,
 )
-from repro.harness.experiments import run_fig03_motivation, run_fig10_ipc
+from repro.harness.experiments import (
+    EVAL_MODELS,
+    run_fig03_motivation,
+    run_fig10_ipc,
+)
 from repro.harness.runner import run_benchmark
-from repro.workloads.suite import build_trace
+from repro.kernel import numpy_or_none
+from repro.workloads.suite import benchmark_names, build_trace
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -207,3 +213,72 @@ class TestRunBenchmarkViaEngine:
                             scale=0.1)
         results = run_benchmark(CFG, trace, models=("nosec",))
         assert results["nosec"].workload == "nw"
+
+
+@pytest.fixture
+def built_traces(monkeypatch):
+    """Every ``(bench, trace)`` the engine builds, in build order."""
+    built = []
+    real = engine_mod.build_trace
+
+    def counting(bench, **kwargs):
+        trace = real(bench, **kwargs)
+        built.append((bench, trace))
+        return trace
+
+    monkeypatch.setattr(engine_mod, "build_trace", counting)
+    return built
+
+
+class TestTraceSharing:
+    """A batch builds each distinct trace once and shares it among the
+    models that simulate it."""
+
+    def test_matrix_builds_each_trace_once_and_holds_one(self, built_traces,
+                                                          monkeypatch):
+        held = []
+        raw = SimJob.execute
+
+        def execute(job, *args, **kwargs):
+            result = raw(job, *args, **kwargs)
+            held.append(len(kwargs["traces"]))
+            return result
+
+        monkeypatch.setattr(SimJob, "execute", execute)
+        benches = benchmark_names()
+        assert len(benches) == 12
+        ExperimentEngine().matrix(CFG, benches, EVAL_MODELS, 200, SEED)
+        assert [bench for bench, _ in built_traces] == list(benches)
+        assert len(held) == 36 and max(held) == 1
+
+    def test_fresh_engine_and_new_batch_rebuild(self, built_traces):
+        benches = ("nw", "sgemm")
+        ExperimentEngine().matrix(CFG, benches, ("nosec",), N, SEED)
+        assert len(built_traces) == 2
+        engine = ExperimentEngine()
+        engine.matrix(CFG, benches, ("nosec",), N, SEED)
+        assert len(built_traces) == 4  # no trace outlives its engine
+        engine.matrix(CFG, benches, ("salus",), N, SEED)
+        assert len(built_traces) == 6  # nor its batch
+
+    def test_shared_trace_is_unchanged_by_its_models(self, built_traces):
+        ExperimentEngine().matrix(CFG, ("nw", "kmeans"), EVAL_MODELS, N, SEED)
+        for bench, trace in built_traces:
+            fresh = build_trace(bench, n_accesses=N, seed=SEED,
+                                num_sms=CFG.gpu.num_sms, geometry=CFG.geometry)
+            assert trace.fingerprint() == fresh.fingerprint()
+
+    @pytest.mark.parametrize("kernel,workers", [
+        ("scalar", 1),
+        pytest.param("batched", 1, marks=pytest.mark.skipif(
+            numpy_or_none() is None, reason="batched kernel needs numpy")),
+        (None, 2),
+    ])
+    def test_shared_results_match_unshared(self, kernel, workers):
+        jobs = [job(bench, model) for bench in ("nw", "sgemm")
+                for model in EVAL_MODELS]
+        shared = ExperimentEngine(jobs=workers, kernel=kernel).map(jobs)
+        for j in jobs:
+            alone = j.execute(kernel=kernel)
+            assert shared[j].fingerprint() == alone.fingerprint()
+            assert shared[j].to_dict() == alone.to_dict()

@@ -1,8 +1,14 @@
 """Unit tests for the shared memory fabric (repro.security.fabric)."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.address import ShardMap
 from repro.config import SystemConfig
+from repro.errors import AddressError
+from repro.memsys.interleave import Interleaver
 from repro.metadata.bmt import BMTGeometry
 from repro.security.fabric import MemoryFabric
 from repro.sim.stats import Side, StatRegistry, TrafficCategory
@@ -53,6 +59,91 @@ class TestLocate:
         l1 = fabric.locate(0, frame=0)
         l2 = fabric.locate(0, frame=1)
         assert (l1.channel, l1.local_chunk) != (l2.channel, l2.local_chunk)
+
+
+#: Fabric shapes whose ``locate`` is checked against the reference formulas.
+LOCATE_SHAPES = {
+    "1dev": lambda cfg: cfg,
+    "2dev": lambda cfg: cfg.with_cxl_devices(2),
+    "4dev": lambda cfg: cfg.with_cxl_devices(4, sharding="range"),
+    "2tenants": lambda cfg: cfg.with_tenants(2),
+    "2tenants-2dev": lambda cfg: cfg.with_tenants(2).with_cxl_devices(2),
+}
+LOCATE_PAGES = 96
+
+
+@functools.lru_cache(maxsize=None)
+def shaped_fabric(shape):
+    config = LOCATE_SHAPES[shape](SystemConfig.small())
+    return MemoryFabric(config, LOCATE_PAGES, StatRegistry())
+
+
+def reference_location(fabric, addr, frame):
+    """Every SectorLoc field from the Geometry/Interleaver/ShardMap formulas."""
+    geom = fabric.geometry
+    page = geom.page_of(addr)
+    chunk_in_page = geom.chunk_in_page(addr)
+    sector_in_chunk = geom.sector_in_chunk(addr)
+    tm = fabric.tenant_map
+    topology = fabric.config.topology
+    if tm is None:
+        channel, local_chunk = Interleaver(
+            geom, fabric.config.gpu.num_channels
+        ).device_chunk_location(frame, chunk_in_page)
+        home = ShardMap(
+            geometry=geom, num_devices=topology.num_devices,
+            policy=topology.sharding, total_pages=LOCATE_PAGES,
+        ).home_of_page(page)
+    else:
+        tenant = tm.tenant_of_page(page)
+        channel, local_chunk = Interleaver(
+            geom, tm.channels_per_tenant
+        ).device_chunk_location(frame, chunk_in_page)
+        channel += tm.channel_base(tenant)
+        home = ShardMap(
+            geometry=geom, num_devices=tm.devices_per_tenant,
+            policy=topology.sharding, total_pages=max(1, tm.pages_of(tenant)),
+        ).home_of_page(page - tm.page_base(tenant)) + tm.devices_of(tenant).start
+    return {
+        "cxl_addr": addr,
+        "page": page,
+        "sector_in_page": geom.sector_in_page(addr),
+        "chunk_in_page": chunk_in_page,
+        "sector_in_chunk": sector_in_chunk,
+        "frame": frame,
+        "channel": channel,
+        "local_sector": local_chunk * geom.sectors_per_chunk + sector_in_chunk,
+        "local_chunk": local_chunk,
+        "device_chunk": frame * geom.chunks_per_page + chunk_in_page,
+        "home_device": home,
+        "local_block": (local_chunk * geom.sectors_per_chunk + sector_in_chunk) // 4,
+        "cxl_sector": addr // geom.sector_bytes,
+    }
+
+
+class TestLocateReference:
+    @pytest.mark.parametrize("shape", sorted(LOCATE_SHAPES))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_fields_match_reference_formulas(self, shape, data):
+        fabric = shaped_fabric(shape)
+        addr = data.draw(st.integers(0, LOCATE_PAGES * fabric.geometry.page_bytes - 1))
+        frame = data.draw(st.integers(0, fabric.num_frames - 1))
+        loc = fabric.locate(addr, frame)
+        expected = reference_location(fabric, addr, frame)
+        assert {name: getattr(loc, name) for name in expected} == expected
+        assert fabric.locate(addr, frame) is loc  # memoized, one object
+
+    @pytest.mark.parametrize("shape", sorted(LOCATE_SHAPES))
+    def test_negative_address_rejected(self, shape):
+        fabric = shaped_fabric(shape)
+        for addr, frame in ((-32, 0), (-4096, 1)):
+            with pytest.raises(AddressError):
+                fabric.locate(addr, frame)
+
+    def test_negative_frame_rejected(self):
+        with pytest.raises(AddressError):
+            make_fabric().locate(0, -1)
 
 
 class TestMetadataAccess:

@@ -2,9 +2,10 @@
 
 Three layers of evidence, mirroring how the batched engine is built:
 
-1. unit equivalence of every vectorized primitive against its scalar
-   twin (shard maps, interleaver coordinates, BMT walk ordinals, counter
-   lookups, cache tag probes, trace fingerprints);
+1. unit equivalence of the vectorized primitives the engine uses against
+   their scalar twins (shard maps and the fabric page tables built from
+   them, trace fingerprints and dense columns) and of the memoized BMT
+   walk steps;
 2. whole-run equivalence - identical ``RunResult.to_dict()`` trees and
    fingerprints - across security models, device counts, fill
    granularities, and hypothesis-generated workload shapes;
@@ -19,18 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.address import ShardMap
-from repro.config import SecurityConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.harness.runner import run_model
 from repro.kernel import KERNEL_ENV_VAR, numpy_or_none, resolve_kernel
 from repro.metadata.bmt import BMTGeometry
-from repro.metadata.cache import MetadataCaches
-from repro.metadata.counters import (
-    CollapsedCounterStore,
-    ConventionalSplitCounterStore,
-)
-from repro.memsys.interleave import Interleaver
-from repro.memsys.sectored_cache import SectoredCache
 from repro.security.fabric import MemoryFabric
 from repro.sim.stats import StatRegistry
 from repro.workloads.generators import WorkloadSpec, generate_trace
@@ -124,47 +118,7 @@ class TestShardBatchQueries:
         with pytest.raises(AddressError):
             shard.home_of_pages([3, -1])
 
-    def test_interleaver_batch_matches_scalar(self):
-        inter = Interleaver(geometry=CFG.geometry,
-                            num_channels=CFG.gpu.num_channels)
-        cpp = CFG.geometry.chunks_per_page
-        frames = [f for f in range(40) for _ in range(cpp)]
-        chunks = [c for _ in range(40) for c in range(cpp)]
-        channels, slots = inter.device_chunk_locations(frames, chunks)
-        for i in range(len(frames)):
-            channel, slot = inter.device_chunk_location(frames[i], chunks[i])
-            assert int(channels[i]) == channel
-            assert int(slots[i]) == slot
-
-
-class TestLocateBatch:
-    @pytest.mark.parametrize("devices", [1, 2, 4])
-    def test_matches_scalar_locate(self, devices):
-        config = CFG.with_cxl_devices(devices) if devices > 1 else CFG
-        pages = 64
-        fabric_a = MemoryFabric(config, pages, StatRegistry())
-        fabric_b = MemoryFabric(config, pages, StatRegistry())
-        sector = config.geometry.sector_bytes
-        addrs = [i * sector * 3 % (pages * config.geometry.page_bytes)
-                 for i in range(120)]
-        frames = [(i * 5) % fabric_a.num_frames for i in range(120)]
-        batch = fabric_b.locate_batch(addrs, frames)
-        for i in range(len(addrs)):
-            assert batch[i] == fabric_a.locate(addrs[i], frames[i])
-
-    def test_memo_install_and_input_order(self):
-        config = CFG.with_cxl_devices(2)
-        fabric = MemoryFabric(config, 64, StatRegistry())
-        sector = config.geometry.sector_bytes
-        addrs = [5 * sector, 3 * sector, 5 * sector, 900 * sector]
-        frames = [1, 2, 1, 3]
-        locs = fabric.locate_batch(addrs, frames)
-        # Input order preserved, duplicates memo-shared.
-        assert locs[0] is locs[2]
-        for i in range(4):
-            assert locs[i] == fabric.locate(addrs[i], frames[i])
-
-    def test_table_backed_page_queries(self):
+    def test_fabric_page_tables_match_shard(self):
         config = CFG.with_cxl_devices(4)
         fabric = MemoryFabric(config, 128, StatRegistry())
         for page in range(128):
@@ -172,14 +126,12 @@ class TestLocateBatch:
             assert fabric.local_page(page) == fabric.shard.local_page(page)
 
 
-# -- metadata batch queries ---------------------------------------------------
+# -- metadata walk tables -----------------------------------------------------
 
-class TestMetadataBatchQueries:
-    def test_bmt_path_steps_and_table(self):
+class TestMetadataWalkTables:
+    def test_bmt_path_steps(self):
         for leaves in (1, 8, 64, 100, 512):
             geom = BMTGeometry(num_leaves=leaves)
-            table = geom.path_table()
-            assert table.shape == (leaves, geom.depth - 1)
             for leaf in range(leaves):
                 steps = [
                     (geom.node_ordinal(lv, ix) // 2,
@@ -187,65 +139,6 @@ class TestMetadataBatchQueries:
                     for lv, ix in geom.path(leaf)
                 ]
                 assert list(geom.path_steps(leaf)) == steps
-                assert table[leaf].tolist() == [
-                    geom.node_ordinal(lv, ix) for lv, ix in geom.path(leaf)
-                ]
-
-    def test_bmt_node_ordinals_vectorized(self):
-        geom = BMTGeometry(num_leaves=100)
-        pairs = [(lv, ix) for leaf in range(0, 100, 9)
-                 for lv, ix in geom.path(leaf)]
-        levels = [lv for lv, _ in pairs]
-        indices = [ix for _, ix in pairs]
-        ordinals = geom.node_ordinals(levels, indices)
-        assert ordinals.tolist() == [
-            geom.node_ordinal(lv, ix) for lv, ix in pairs
-        ]
-
-    def test_counter_group_indices(self):
-        store = ConventionalSplitCounterStore()
-        sectors = list(range(0, 500, 13))
-        assert store.group_indices(sectors).tolist() == [
-            store.group_index(s) for s in sectors
-        ]
-
-    def test_collapsed_chunk_epochs(self):
-        store = CollapsedCounterStore(chunks_per_page=16)
-        for _ in range(3):
-            store.collapse(4, 7)
-        store.collapse(9, 0)
-        pages = [4, 4, 9, 2]
-        chunks = [7, 0, 0, 5]
-        epochs = store.chunk_epochs(pages, chunks)
-        assert epochs.tolist() == [
-            store.chunk_epoch(p, c) for p, c in zip(pages, chunks)
-        ]
-
-    def test_chunk_epochs_leaves_store_sparse(self):
-        store = CollapsedCounterStore()
-        store.chunk_epochs([100, 200], [0, 1])
-        assert 100 not in store._pages and 200 not in store._pages
-
-    def test_probe_batch_matches_probe_and_is_inert(self):
-        cache = SectoredCache("t", total_bytes=4096, ways=4,
-                              line_bytes=128, sector_bytes=32)
-        for line in range(10):
-            cache.access(line, line % 4, write=bool(line % 2))
-        hits, misses = cache.hits, cache.misses
-        lines = [l for l in range(12) for _ in range(4)]
-        sectors = [s for _ in range(12) for s in range(4)]
-        probed = cache.probe_batch(lines, sectors)
-        for i in range(len(lines)):
-            assert bool(probed[i]) == cache.probe(lines[i], sectors[i])
-        assert (cache.hits, cache.misses) == (hits, misses)
-
-    def test_probe_units_selects_cache_kind(self):
-        caches = MetadataCaches.build(0, SecurityConfig())
-        caches.counter.access(3, 1)
-        probed = caches.probe_units("counter", [13, 12, 99])
-        assert probed.tolist() == [True, False, False]
-        with pytest.raises(KeyError):
-            caches.probe_units("l1", [0])
 
 
 # -- whole-run equivalence ----------------------------------------------------
