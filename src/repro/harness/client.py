@@ -4,10 +4,12 @@ Two layers, both stdlib-only:
 
 * :class:`ServiceClient` - a thin wrapper over the service's HTTP API
   (docs/SERVICE.md): submit jobs, long-poll results, stream NDJSON
-  progress events, hit the admin endpoints. Saturation (HTTP 429) is
-  retried with the server-suggested ``Retry-After`` backoff before
-  surfacing as :class:`~repro.errors.ServiceSaturatedError` - clients
-  are the retry loop the backpressure design assumes.
+  progress events, hit the admin endpoints. Each thread keeps one
+  HTTP/1.1 keep-alive connection and reuses it for every request.
+  Saturation (HTTP 429) is retried with the server-suggested
+  ``Retry-After`` backoff before surfacing as
+  :class:`~repro.errors.ServiceSaturatedError` - clients are the retry
+  loop the backpressure design assumes.
 
 * :class:`RemoteEngine` - an :class:`~repro.harness.engine.ExperimentEngine`
   drop-in (``run_jobs``/``map``/``matrix``/``run_one``/``stats``/
@@ -26,11 +28,13 @@ taxonomy the run ledger records server-side.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 from ..config import SystemConfig
 from ..errors import ServiceClosedError, ServiceError, ServiceSaturatedError
@@ -40,6 +44,10 @@ from .engine import EngineStats, JobOutcome, SimJob
 DEFAULT_TIMEOUT_S = 120.0
 #: Submission attempts before a saturated server's 429 is surfaced.
 DEFAULT_SUBMIT_ATTEMPTS = 8
+
+#: What a request on a kept-alive connection the server has since closed
+#: fails with: the send, or the read of a response that never comes.
+_STALE_CONNECTION = (http.client.BadStatusLine, ConnectionError)
 
 
 class RemoteStats(EngineStats):
@@ -62,6 +70,14 @@ class ServiceClient:
     a trailing slash is tolerated. ``timeout_s`` bounds each HTTP request;
     result waits pass their own long-poll budget through to the server and
     keep a margin on top for transport.
+
+    Every thread that uses the client gets its own keep-alive connection,
+    opened on its first request and reused after that. If the server has
+    closed it in the meantime, the request is sent once more on a fresh
+    connection. That resend is safe: submission is content-addressed, so
+    a job sent twice coalesces into one, and every other request only
+    reads or flips state idempotently. :meth:`close` (or leaving a
+    ``with`` block) closes them all.
     """
 
     def __init__(
@@ -75,8 +91,38 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
         self.submit_attempts = max(1, int(submit_attempts))
+        url = urlsplit(self.base_url)
+        self._https = url.scheme == "https"
+        self._host = url.hostname or "127.0.0.1"
+        self._port = url.port
+        self._prefix = url.path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        # Weak, so a finished thread's connection closes when its
+        # thread-local slot goes, instead of piling up until close().
+        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = (
+            weakref.WeakSet()
+        )
 
     # -- transport -----------------------------------------------------------
+    def _new_connection(self, timeout: float) -> http.client.HTTPConnection:
+        cls = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
+        return cls(self._host, self._port, timeout=timeout)
+
+    def _connection(self, timeout: float) -> Tuple[http.client.HTTPConnection, bool]:
+        """This thread's connection with ``timeout`` applied, and whether
+        it has carried a request before (only such a one can be stale)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._new_connection(timeout)
+            with self._lock:
+                self._connections.add(conn)
+        conn.timeout = timeout  # used when (re)connecting
+        if conn.sock is None:
+            return conn, False
+        conn.sock.settimeout(timeout)
+        return conn, True
+
     def request(
         self,
         method: str,
@@ -91,19 +137,43 @@ class ServiceClient:
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(
-            self.base_url + path, data=data, method=method, headers=headers
-        )
         timeout = self.timeout_s if timeout_s is None else timeout_s
+        conn, reused = self._connection(timeout)
         try:
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                return resp.status, self._decode(resp.read())
-        except urllib.error.HTTPError as exc:
-            return exc.code, self._decode(exc.read())
-        except (urllib.error.URLError, OSError) as exc:
+            try:
+                return self._exchange(conn, method, path, data, headers)
+            except _STALE_CONNECTION:
+                conn.close()
+                if not reused:
+                    raise
+                return self._exchange(conn, method, path, data, headers)
+        except (http.client.HTTPException, OSError) as exc:
+            conn.close()
             raise ServiceError(
                 f"cannot reach job service at {self.base_url}: {exc}"
             ) from exc
+
+    def _exchange(self, conn: http.client.HTTPConnection, method: str,
+                  path: str, data: Optional[bytes],
+                  headers: Dict[str, str]) -> Tuple[int, dict]:
+        conn.request(method, self._prefix + path, body=data, headers=headers)
+        resp = conn.getresponse()
+        return resp.status, self._decode(resp.read())
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request reconnects."""
+        with self._lock:
+            connections = list(self._connections)
+            self._connections.clear()
+        for conn in connections:
+            conn.close()
+        self._local = threading.local()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     @staticmethod
     def _decode(raw: bytes) -> dict:
@@ -188,27 +258,32 @@ class ServiceClient:
             )
 
     def events(self, fingerprint: str, timeout_s: float = 300.0) -> Iterator[dict]:
-        """Stream the job's NDJSON progress events until its terminal one."""
-        req = urllib.request.Request(
-            f"{self.base_url}/jobs/{fingerprint}/events",
-            headers={"Accept": "application/x-ndjson"},
-        )
+        """Stream the job's NDJSON progress events until its terminal one.
+
+        The stream gets a connection of its own, which the server closes
+        when the stream ends.
+        """
+        conn = self._new_connection(timeout_s)
         try:
-            with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-                if resp.status != 200:
-                    raise ServiceError(
-                        f"event stream failed (HTTP {resp.status})"
-                    )
-                for line in resp:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        yield json.loads(line.decode("utf-8"))
-                    except ValueError:
-                        continue
-        except (urllib.error.URLError, OSError) as exc:
+            conn.request(
+                "GET", f"{self._prefix}/jobs/{fingerprint}/events",
+                headers={"Accept": "application/x-ndjson"},
+            )
+            resp = conn.getresponse()
+            if resp.status != 200:
+                raise ServiceError(f"event stream failed (HTTP {resp.status})")
+            for line in resp:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    yield json.loads(line.decode("utf-8"))
+                except ValueError:
+                    continue
+        except (http.client.HTTPException, OSError) as exc:
             raise ServiceError(f"event stream interrupted: {exc}") from exc
+        finally:
+            conn.close()
 
     # -- service/admin API ---------------------------------------------------
     def health(self) -> dict:
@@ -373,6 +448,7 @@ class RemoteEngine:
             result=result,
             source=source,
             wall_s=float(envelope.get("wall_s", 0.0)),
+            result_fingerprint=local_fp,
         )
 
     @staticmethod

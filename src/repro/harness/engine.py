@@ -16,8 +16,9 @@ parallelized and cached:
   with a stable content :meth:`~SimJob.fingerprint`.
 * :class:`ResultCache` persists finished :class:`~repro.gpu.gpusim.RunResult`
   objects as content-addressed JSON files under a cache directory (default
-  ``.salus-cache/``), keyed by the job fingerprint. Corrupt or
-  schema-mismatched entries degrade to cache misses.
+  ``.salus-cache/``), keyed by the job fingerprint. Corrupt,
+  schema-mismatched or unverifiable entries (the result does not rehash
+  to the fingerprint stored with it) degrade to cache misses.
 * :class:`ExperimentEngine` executes batches: it folds duplicates, serves
   hits from an in-process memo and then the on-disk cache, runs the misses
   via :class:`concurrent.futures.ProcessPoolExecutor` (``jobs`` workers)
@@ -160,14 +161,18 @@ class SimJob:
             f"@{self.trace.n_accesses}#{self.trace.seed}"
         )
 
-    def describe(self) -> Dict:
-        """Cache-entry provenance record (what produced this result)."""
+    def describe(self, config_fingerprint: Optional[str] = None) -> Dict:
+        """Cache-entry provenance record (what produced this result).
+
+        ``config_fingerprint`` is ``self.config.fingerprint()`` when the
+        caller already holds it.
+        """
         record = {
             "bench": self.trace.bench,
             "model": self.model,
             "n_accesses": self.trace.n_accesses,
             "seed": self.trace.seed,
-            "config_fingerprint": self.config.fingerprint(),
+            "config_fingerprint": config_fingerprint or self.config.fingerprint(),
         }
         if self.trace.tenants != 1:
             record["tenants"] = self.trace.tenants
@@ -228,6 +233,10 @@ class JobOutcome:
     ``wall_s`` is the wall-clock cost of obtaining the result: the timed
     simulation for ``source="run"`` (measured inside the worker, so pool
     scheduling overhead is excluded), ~0 for cache hits.
+
+    ``result_fingerprint`` is ``result.fingerprint()``, computed once where
+    the result came from (the simulation, the verified cache read, or the
+    memo that kept both) and carried along so nobody downstream rehashes.
     """
 
     job: SimJob
@@ -235,6 +244,7 @@ class JobOutcome:
     error: Optional[str] = None
     source: str = "run"  # "memory" | "disk" | "run"
     wall_s: float = 0.0
+    result_fingerprint: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -264,9 +274,10 @@ class ResultCache:
 
     Layout: ``<root>/<fp[:2]>/<fp>.json`` where ``fp`` is the job
     fingerprint. Every entry is a self-describing JSON envelope carrying the
-    schema version, the fingerprint, the job provenance and the full
-    :meth:`RunResult.to_dict` payload. Unreadable, corrupt or
-    schema-mismatched entries are treated as misses, never as errors.
+    schema version, the fingerprint, the job provenance, the full
+    :meth:`RunResult.to_dict` payload and that result's own fingerprint.
+    Unreadable, corrupt, schema-mismatched or unverifiable entries are
+    treated as misses, never as errors.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -275,7 +286,16 @@ class ResultCache:
     def path_for(self, fingerprint: str) -> Path:
         return self.root / fingerprint[:2] / f"{fingerprint}.json"
 
-    def get(self, fingerprint: str) -> Optional[RunResult]:
+    def get(self, fingerprint: str) -> Optional[Tuple[RunResult, str]]:
+        """``(result, result fingerprint)`` stored for job ``fingerprint``,
+        or ``None`` on any miss.
+
+        The decoded result is rehashed and must match the fingerprint the
+        entry was stored with, so a tampered or misplaced entry - or one
+        written before entries carried that fingerprint - is a miss, never
+        a wrong answer. That one hash is handed back with the result, so
+        the caller need not hash it again.
+        """
         path = self.path_for(fingerprint)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
@@ -287,9 +307,15 @@ class ResultCache:
             return None
         if payload.get("fingerprint") != fingerprint:
             return None
+        stored = payload.get("result_fingerprint")
+        if not isinstance(stored, str):
+            return None
         try:
             result = RunResult.from_dict(payload["result"])
         except (KeyError, TypeError, ValueError):
+            return None
+        result_fingerprint = result.fingerprint()
+        if result_fingerprint != stored:
             return None
         # Refresh the entry's mtime so LRU eviction (the job service's
         # cache policy, see repro.service.store) ranks by last *use*, not
@@ -298,20 +324,37 @@ class ResultCache:
             os.utime(path, None)
         except OSError:
             pass
-        return result
+        return result, result_fingerprint
 
-    def put(self, fingerprint: str, job: SimJob, result: RunResult) -> Path:
+    def put(
+        self,
+        fingerprint: str,
+        job: SimJob,
+        result: RunResult,
+        result_fingerprint: Optional[str] = None,
+        config_fingerprint: Optional[str] = None,
+    ) -> Path:
+        """Publish ``result`` under job ``fingerprint``, with the result's
+        own fingerprint for :meth:`get` to verify against (computed here
+        unless the caller already holds it)."""
         path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
         envelope = {
             "schema": SCHEMA_VERSION,
             "fingerprint": fingerprint,
-            "job": job.describe(),
+            "job": job.describe(config_fingerprint),
             "result": result.to_dict(),
+            "result_fingerprint": result_fingerprint or result.fingerprint(),
         }
         # Atomic publish: a reader never observes a half-written entry.
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(envelope, sort_keys=True), encoding="utf-8")
+        text = json.dumps(envelope, sort_keys=True)
+        try:
+            tmp.write_text(text, encoding="utf-8")
+        except FileNotFoundError:
+            # First entry of its shard, or an eviction sweep pruned the
+            # empty shard: make it and write again.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text, encoding="utf-8")
         tmp.replace(path)
         return path
 
@@ -536,20 +579,30 @@ class ExperimentEngine:
         )
         self.stats = EngineStats()
         self.last_outcomes: List[JobOutcome] = []
-        self._memo: Dict[SimJob, RunResult] = {}
+        # job -> (result, result fingerprint), so a memo hit rehashes nothing.
+        self._memo: Dict[SimJob, Tuple[RunResult, str]] = {}
 
     # -- execution ---------------------------------------------------------
-    def run_jobs(self, jobs: Sequence[SimJob]) -> List[JobOutcome]:
+    def run_jobs(
+        self,
+        jobs: Sequence[SimJob],
+        fingerprints: Optional[Dict[SimJob, str]] = None,
+    ) -> List[JobOutcome]:
         """Execute a batch; one outcome per input job, in input order.
 
         Duplicate jobs are folded into a single execution. A job that fails
         yields an outcome with ``error`` set; the rest of the batch still
         completes (and successful results are still cached).
+
+        ``fingerprints`` holds job fingerprints the caller has already
+        computed (the job service keys its records on them); any job
+        missing from it is fingerprinted here.
         """
+        known = fingerprints or {}
         unique: Dict[SimJob, str] = {}
         for job in jobs:
             if job not in unique:
-                unique[job] = job.fingerprint()
+                unique[job] = known.get(job) or job.fingerprint()
 
         outcomes: Dict[SimJob, JobOutcome] = {}
         pending: List[SimJob] = []
@@ -562,28 +615,48 @@ class ExperimentEngine:
             memoized = self._memo.get(job)
             if memoized is not None:
                 self.stats.memory_hits += 1
-                outcomes[job] = JobOutcome(job, result=memoized, source="memory")
+                outcomes[job] = JobOutcome(
+                    job, result=memoized[0], source="memory",
+                    result_fingerprint=memoized[1],
+                )
                 self._emit_done(job.label(), True, "memory", 0.0)
                 continue
             cached = self.cache.get(fingerprint) if self.cache is not None else None
             if cached is not None:
                 self.stats.disk_hits += 1
                 self._memo[job] = cached
-                outcomes[job] = JobOutcome(job, result=cached, source="disk")
+                outcomes[job] = JobOutcome(
+                    job, result=cached[0], source="disk", result_fingerprint=cached[1]
+                )
                 self._emit_done(job.label(), True, "disk", 0.0)
                 continue
             pending.append(job)
+
+        # One config fingerprint per distinct config of the batch, shared by
+        # its cache entries and ledger lines.
+        config_fps: Dict[SystemConfig, str] = {}
+
+        def config_fingerprint(job: SimJob) -> str:
+            fp = config_fps.get(job.config)
+            if fp is None:
+                fp = config_fps[job.config] = job.config.fingerprint()
+            return fp
 
         if pending:
             for job, (ok, payload, wall) in self._execute_batch(_trace_groups(pending)):
                 self.stats.simulations += 1
                 if ok:
                     result = payload
-                    self._memo[job] = result
+                    result_fp = result.fingerprint()
+                    self._memo[job] = (result, result_fp)
                     if self.cache is not None:
-                        self.cache.put(unique[job], job, result)
+                        self.cache.put(
+                            unique[job], job, result, result_fp,
+                            config_fingerprint(job),
+                        )
                     outcomes[job] = JobOutcome(
-                        job, result=result, source="run", wall_s=wall
+                        job, result=result, source="run", wall_s=wall,
+                        result_fingerprint=result_fp,
                     )
                 else:
                     self.stats.errors += 1
@@ -592,9 +665,11 @@ class ExperimentEngine:
                     )
 
         if self.ledger is not None:
-            for outcome in outcomes.values():
+            for job, outcome in outcomes.items():
                 if outcome.ok:
-                    self.ledger.append(LedgerEntry.from_outcome(outcome, SCHEMA_VERSION))
+                    self.ledger.append(LedgerEntry.from_outcome(
+                        outcome, SCHEMA_VERSION, unique[job], config_fingerprint(job)
+                    ))
 
         self.last_outcomes = [outcomes[job] for job in jobs]
         return list(self.last_outcomes)

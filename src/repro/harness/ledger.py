@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
@@ -82,7 +82,11 @@ class LedgerEntry:
         return f"{self.bench}{tenancy}/{self.model}@{self.n_accesses}#{self.seed}"
 
     def to_json_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # Fields are read straight off the instance: ``metrics`` is already a
+        # flat {str: number} dict, so the line is byte-identical to
+        # ``asdict``'s without deep-copying the metric tree.
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json_line(cls, line: str) -> Optional["LedgerEntry"]:
@@ -99,8 +103,19 @@ class LedgerEntry:
             return None
 
     @classmethod
-    def from_outcome(cls, outcome, engine_schema: int) -> "LedgerEntry":
-        """Build an entry from a successful :class:`JobOutcome`."""
+    def from_outcome(
+        cls,
+        outcome,
+        engine_schema: int,
+        job_fingerprint: Optional[str] = None,
+        config_fingerprint: Optional[str] = None,
+    ) -> "LedgerEntry":
+        """Build an entry from a successful :class:`JobOutcome`.
+
+        Fingerprints the caller already holds are taken as given: the job
+        and config ones as arguments, the result one from
+        ``outcome.result_fingerprint``. Only missing ones are computed.
+        """
         job = outcome.job
         result = outcome.result
         stats = result.stats
@@ -109,9 +124,9 @@ class LedgerEntry:
             model=job.model,
             n_accesses=job.trace.n_accesses,
             seed=job.trace.seed,
-            config_fingerprint=job.config.fingerprint(),
-            job_fingerprint=job.fingerprint(),
-            result_fingerprint=result.fingerprint(),
+            config_fingerprint=config_fingerprint or job.config.fingerprint(),
+            job_fingerprint=job_fingerprint or job.fingerprint(),
+            result_fingerprint=outcome.result_fingerprint or result.fingerprint(),
             source=outcome.source,
             wall_s=round(outcome.wall_s, 6),
             engine_schema=engine_schema,
@@ -128,6 +143,10 @@ class LedgerEntry:
         )
 
 
+#: Field names of :class:`LedgerEntry`, in declaration order.
+_FIELD_NAMES = tuple(f.name for f in fields(LedgerEntry))
+
+
 class RunLedger:
     """Append-only JSONL registry of completed runs.
 
@@ -141,10 +160,19 @@ class RunLedger:
 
     # -- writing -------------------------------------------------------------
     def append(self, entry: LedgerEntry) -> None:
-        """Append one entry; creates the file (and parents) on first write."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(entry.to_json_line() + "\n")
+        """Append one entry; creates the file (and parents) on first write.
+
+        The directory is made only when opening fails for want of it, not
+        on every append.
+        """
+        line = entry.to_json_line() + "\n"
+        try:
+            fh = self.path.open("a", encoding="utf-8")
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fh = self.path.open("a", encoding="utf-8")
+        with fh:
+            fh.write(line)
 
     # -- replay --------------------------------------------------------------
     def _iter_entries(self) -> Iterator[LedgerEntry]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..errors import ConfigError
 
@@ -124,11 +124,7 @@ class SectoredCache:
         # run's footprint.
         self._set_lookup: dict = {}
         # dirty_mask -> tuple of sector indices, for the common small lines.
-        self._mask_table: Optional[List[Tuple[int, ...]]] = None
-        if self.sectors_per_line <= 8:
-            self._mask_table = [
-                _mask_to_sectors_slow(mask) for mask in range(1 << self.sectors_per_line)
-            ]
+        self._mask_table = _MASK_TABLES.get(self.sectors_per_line)
 
     # -- helpers ---------------------------------------------------------------
     def _set_for(self, line_addr: Hashable) -> OrderedDict:
@@ -269,3 +265,13 @@ def _mask_to_sectors_slow(mask: int) -> Tuple[int, ...]:
         mask >>= 1
         idx += 1
     return tuple(out)
+
+
+#: sectors_per_line -> ``mask -> sector indices`` table, for 1-8 sectors
+#: (wider lines have too many masks to tabulate). Built once, at import,
+#: and shared by every cache of a width: a simulator builds dozens of
+#: caches, all with the same few widths.
+_MASK_TABLES: Dict[int, Tuple[Tuple[int, ...], ...]] = {
+    sectors: tuple(_mask_to_sectors_slow(mask) for mask in range(1 << sectors))
+    for sectors in range(1, 9)
+}

@@ -403,7 +403,12 @@ class MemoryFabric:
     # -- coordinates ---------------------------------------------------------
     def locate(self, cxl_addr: int, frame: int) -> SectorLoc:
         """The memoized :class:`SectorLoc` of ``cxl_addr`` resident in ``frame``."""
-        key = cxl_addr * self.num_frames + frame
+        num_frames = self.num_frames
+        # Checked before the memo: its packed key is injective only for
+        # in-range frames, so an out-of-range one would alias another pair.
+        if not 0 <= frame < num_frames:
+            raise AddressError(f"frame {frame} outside [0, {num_frames})")
+        key = cxl_addr * num_frames + frame
         loc = self._loc_cache.get(key)
         if loc is not None:
             return loc
@@ -417,8 +422,6 @@ class MemoryFabric:
         if self.tenant_map is None:
             # Interleaver.device_chunk_location, inlined: round-robin over
             # every channel by global device chunk id.
-            if frame < 0:
-                raise AddressError(f"negative frame {frame}")
             local_chunk, channel = divmod(device_chunk, self.interleaver.num_channels)
         else:
             channel, local_chunk = self.chunk_location(page, frame, chunk_in_page)

@@ -2,9 +2,12 @@
 
 A deliberately small HTTP/1.1 server on raw ``asyncio`` streams - no new
 dependencies, same pattern as the numpy-optional kernel: the service runs
-anywhere the simulator runs. One connection per request (``Connection:
-close``), JSON bodies, and one streaming endpoint (``/jobs/<fp>/events``)
-that emits NDJSON until the job reaches a terminal state.
+anywhere the simulator runs. Connections are kept alive (HTTP/1.1
+``Connection: keep-alive``): a client sends request after request on one
+connection until it closes it. Malformed requests, ``Connection: close``
+requests and the one streaming endpoint (``/jobs/<fp>/events``, NDJSON
+until the job reaches a terminal state) close theirs. JSON bodies
+throughout.
 
 The API surface (documented operator-first in docs/SERVICE.md):
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..config import SystemConfig
@@ -71,6 +74,13 @@ MAX_BODY_BYTES = 1 << 20
 #: loop on 408s, so this only bounds one round trip, not one job.
 DEFAULT_RESULT_TIMEOUT_S = 30.0
 
+#: How long :meth:`SimServiceServer.close` lets busy connections finish
+#: their current request before closing them too (seconds).
+CLOSE_GRACE_S = 5.0
+
+#: ``(status, JSON payload, extra headers)`` of one routed request.
+Response = Tuple[int, dict, Optional[Dict[str, str]]]
+
 
 def parse_job_payload(payload: dict) -> SimJob:
     """Validate a ``POST /jobs`` body and build the :class:`SimJob`.
@@ -107,15 +117,26 @@ def parse_job_payload(payload: dict) -> SimJob:
 
 
 class SimServiceServer:
-    """Binds a :class:`SimService` to a host:port and speaks the API above."""
+    """Binds a :class:`SimService` to a host:port and speaks the API above.
+
+    ``accepted`` counts the TCP connections accepted so far; with
+    keep-alive, a client that reuses its connection adds one per
+    connection, not one per request.
+    """
 
     def __init__(self, service: SimService, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.service = service
         self.host = host
         self.port = port
+        self.accepted = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown_requested = asyncio.Event()
+        self._closing = False
+        # One handler task per open connection; the writers of those
+        # waiting for their next request are idle and safe to close.
+        self._handlers: Set[asyncio.Task] = set()
+        self._idle: Set[asyncio.StreamWriter] = set()
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
@@ -126,10 +147,26 @@ class SimServiceServer:
         return f"http://{self.host}:{self.port}"
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop listening and close every connection.
+
+        Idle keep-alive connections are closed at once; a busy one closes
+        after its current response. One still busy after
+        :data:`CLOSE_GRACE_S` is cancelled. Every handler has ended by
+        return, so nothing is left for the event loop to cancel.
+        """
+        if self._server is None:
+            return
+        self._closing = True
+        self._server.close()
+        for writer in list(self._idle):
+            writer.close()
+        if self._handlers:
+            _, busy = await asyncio.wait(set(self._handlers), timeout=CLOSE_GRACE_S)
+            for task in busy:
+                task.cancel()
+            await asyncio.gather(*busy, return_exceptions=True)
+        await self._server.wait_closed()
+        self._server = None
 
     async def serve_until_shutdown(self) -> None:
         """Run until ``POST /admin/shutdown`` (or :meth:`request_shutdown`),
@@ -147,32 +184,52 @@ class SimServiceServer:
     # -- connection handling -------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Serve requests on one connection until either side closes it."""
+        self.accepted += 1
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            method, path, query, body = await self._read_request(reader)
-        except _BadRequest as exc:
-            await self._respond(writer, exc.status, {"error": str(exc)})
-            return
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-            writer.close()
-            return
-        try:
-            await self._route(writer, method, path, query, body)
+            while not self._closing:
+                self._idle.add(writer)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as exc:
+                    await self._respond(writer, exc.status, {"error": str(exc)})
+                    return
+                except (asyncio.IncompleteReadError, ConnectionError, ValueError):
+                    return
+                finally:
+                    self._idle.discard(writer)
+                method, path, query, body, keep_alive = request
+                try:
+                    response = await self._route(writer, method, path, query, body)
+                except ConnectionError:
+                    return
+                except Exception as exc:  # no stack traces on the wire
+                    response, keep_alive = (500, {"error": repr(exc)}, None), False
+                if response is None:  # a stream, which closes its connection
+                    return
+                keep_alive = keep_alive and not self._closing
+                status, payload, headers = response
+                await self._respond(writer, status, payload, headers, keep_alive)
+                if not keep_alive:
+                    return
         except ConnectionError:
             pass
-        except Exception as exc:  # no stack traces on the wire
-            try:
-                await self._respond(writer, 500, {"error": repr(exc)})
-            except ConnectionError:
-                pass
+        finally:
+            self._handlers.discard(task)
+            writer.close()
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, Dict[str, str], Optional[dict]]:
+    ) -> Tuple[str, str, Dict[str, str], Optional[dict], bool]:
+        """``(method, path, query, body, keep_alive)`` of the next request;
+        ``keep_alive`` is false for HTTP/1.0 and ``Connection: close``."""
         request_line = await reader.readline()
         if not request_line:
             raise ConnectionError("empty request")
         try:
-            method, target, _version = request_line.decode("latin-1").split()
+            method, target, version = request_line.decode("latin-1").split()
         except ValueError:
             raise _BadRequest("malformed request line")
         headers: Dict[str, str] = {}
@@ -195,15 +252,18 @@ class SimServiceServer:
                 raise _BadRequest("request body is not valid JSON")
         split = urlsplit(target)
         query = {k: v[-1] for k, v in parse_qs(split.query).items()}
-        return method.upper(), split.path, query, body
+        connection = {t.strip() for t in headers.get("connection", "").lower().split(",")}
+        keep_alive = version.upper() == "HTTP/1.1" and "close" not in connection
+        return method.upper(), split.path, query, body, keep_alive
 
     # -- routing -------------------------------------------------------------
     async def _route(self, writer, method: str, path: str,
-                     query: Dict[str, str], body: Optional[dict]) -> None:
+                     query: Dict[str, str], body: Optional[dict]) -> Optional[Response]:
+        """The response to one request, or ``None`` when the endpoint
+        streamed its own answer on ``writer`` and closed it."""
         service = self.service
         if path == "/healthz" and method == "GET":
-            await self._respond(writer, 200, service.health())
-            return
+            return 200, service.health(), None
         if path == "/stats" and method == "GET":
             payload = {
                 "stats": service.stats.as_dict(),
@@ -213,109 +273,91 @@ class SimServiceServer:
                 else None,
                 "eviction_policy": service.config.eviction.describe(),
             }
-            await self._respond(writer, 200, payload)
-            return
+            return 200, payload, None
         if path == "/jobs" and method == "POST":
-            await self._submit(writer, body)
-            return
+            return self._submit(body)
         match = _JOB_PATH.match(path)
         if match is not None:
             fingerprint, sub = match.group(1), match.group(2)
             record = service.get_record(fingerprint)
             if record is None:
-                await self._respond(
-                    writer, 404,
-                    {"error": f"unknown job {fingerprint[:12]}… (records are "
-                              f"retained for the last "
-                              f"{service.config.keep_records} jobs)"},
-                )
-                return
+                return 404, {
+                    "error": f"unknown job {fingerprint[:12]}… (records are "
+                             f"retained for the last "
+                             f"{service.config.keep_records} jobs)"
+                }, None
             if sub is None and method == "GET":
-                await self._respond(writer, 200, record.snapshot())
-                return
+                return 200, record.snapshot(), None
             if sub == "/result" and method == "GET":
-                await self._result(writer, record, query)
-                return
+                return await self._result(record, query)
             if sub == "/events" and method == "GET":
                 await self._events(writer, record)
-                return
+                return None
         if path == "/admin/pause" and method == "POST":
             await service.pause()
-            await self._respond(writer, 200, service.health())
-            return
+            return 200, service.health(), None
         if path == "/admin/resume" and method == "POST":
             await service.resume()
-            await self._respond(writer, 200, service.health())
-            return
+            return 200, service.health(), None
         if path == "/admin/evict" and method == "POST":
-            report = service.evict_now()
-            await self._respond(writer, 200, report.as_dict())
-            return
+            return 200, service.evict_now().as_dict(), None
         if path == "/admin/shutdown" and method == "POST":
             drain = True
             if isinstance(body, dict):
                 drain = bool(body.get("drain", True))
             self.request_shutdown(drain=drain)
-            await self._respond(
-                writer, 200,
-                {"status": "draining" if drain else "stopping",
-                 "queue_depth": service.queue_depth,
-                 "in_flight": service.in_flight},
-            )
-            return
-        await self._respond(
-            writer, 404 if method == "GET" else 405,
+            return 200, {
+                "status": "draining" if drain else "stopping",
+                "queue_depth": service.queue_depth,
+                "in_flight": service.in_flight,
+            }, None
+        return (
+            404 if method == "GET" else 405,
             {"error": f"no route {method} {path}"},
+            None,
         )
 
     # -- endpoints -----------------------------------------------------------
-    async def _submit(self, writer, body: Optional[dict]) -> None:
+    def _submit(self, body: Optional[dict]) -> Response:
         try:
             job = parse_job_payload(body if body is not None else {})
-        except ConfigError as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
-            return
-        except ReproError as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
-            return
+        except ReproError as exc:  # ConfigError included
+            return 400, {"error": str(exc)}, None
         try:
             record, coalesced = self.service.submit(job)
         except ServiceSaturatedError as exc:
-            await self._respond(
-                writer, 429,
+            return (
+                429,
                 {"error": str(exc), "retry_after_s": exc.retry_after_s},
-                extra_headers={"Retry-After": f"{exc.retry_after_s:g}"},
+                {"Retry-After": f"{exc.retry_after_s:g}"},
             )
-            return
         except ServiceClosedError as exc:
-            await self._respond(writer, 503, {"error": str(exc)})
-            return
+            return 503, {"error": str(exc)}, None
         payload = record.snapshot()
         payload["coalesced"] = coalesced
         payload["queue_depth"] = self.service.queue_depth
-        await self._respond(writer, 200 if coalesced else 202, payload)
+        return 200 if coalesced else 202, payload, None
 
-    async def _result(self, writer, record, query: Dict[str, str]) -> None:
+    async def _result(self, record, query: Dict[str, str]) -> Response:
         try:
             timeout = float(query.get("timeout", DEFAULT_RESULT_TIMEOUT_S))
         except ValueError:
-            await self._respond(writer, 400, {"error": "timeout must be a number"})
-            return
+            return 400, {"error": "timeout must be a number"}, None
         try:
             await asyncio.wait_for(record.done.wait(), timeout=max(0.0, timeout))
         except asyncio.TimeoutError:
-            await self._respond(
-                writer, 408,
-                {"error": f"job {record.fingerprint[:12]}… still "
-                          f"{record.state} after {timeout:g}s; poll again",
-                 "state": record.state},
-            )
-            return
+            return 408, {
+                "error": f"job {record.fingerprint[:12]}… still "
+                         f"{record.state} after {timeout:g}s; poll again",
+                "state": record.state,
+            }, None
         envelope = record.snapshot()
         if record.result is not None:
             envelope["result"] = record.result.to_dict()
-            envelope["result_fingerprint"] = record.result.fingerprint()
-        await self._respond(writer, 200, envelope)
+            # Hashed once by the engine when the result was produced or
+            # read back from the cache; clients rehash and compare.
+            envelope["result_fingerprint"] = record.result_fingerprint
+        return 200, envelope, None
 
     async def _events(self, writer, record) -> None:
         history, live = record.subscribe()
@@ -347,19 +389,19 @@ class SimServiceServer:
 
     # -- response plumbing ---------------------------------------------------
     async def _respond(self, writer, status: int, payload: dict,
-                       extra_headers: Optional[Dict[str, str]] = None) -> None:
+                       extra_headers: Optional[Dict[str, str]] = None,
+                       keep_alive: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         lines = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             "Content-Type: application/json",
             f"Content-Length: {len(body)}",
-            "Connection: close",
+            "Connection: keep-alive" if keep_alive else "Connection: close",
         ]
         for key, value in (extra_headers or {}).items():
             lines.append(f"{key}: {value}")
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
         await writer.drain()
-        writer.close()
 
 
 class _BadRequest(Exception):

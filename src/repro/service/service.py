@@ -152,6 +152,10 @@ class JobRecord:
         self.fingerprint = fingerprint
         self.state = "queued"  # queued | running | done | error | cancelled
         self.result = None  # RunResult on success
+        # result.fingerprint(), handed over by the engine with the result.
+        self.result_fingerprint: Optional[str] = None
+        # job.config.fingerprint(), computed by the first attach ledger line.
+        self.config_fingerprint: Optional[str] = None
         self.error: Optional[str] = None
         self.source: Optional[str] = None
         self.wall_s = 0.0
@@ -193,9 +197,11 @@ class JobRecord:
         return self.state in ("done", "error", "cancelled")
 
     def finish(self, state: str, source: Optional[str], wall_s: float,
-               result=None, error: Optional[str] = None) -> None:
+               result=None, error: Optional[str] = None,
+               result_fingerprint: Optional[str] = None) -> None:
         self.state = state
         self.result = result
+        self.result_fingerprint = result_fingerprint
         self.error = error
         self.source = source
         self.wall_s = wall_s
@@ -260,11 +266,12 @@ class _QueueProgress:
             pass
 
 
-def _run_job(job: SimJob, cache_dir: Optional[str], use_cache: bool,
-             kernel: Optional[str], progress_epoch: int,
+def _run_job(job: SimJob, fingerprint: str, cache_dir: Optional[str],
+             use_cache: bool, kernel: Optional[str], progress_epoch: int,
              ledger: Optional[bool], progress):
     """Execute one job through a fresh engine (thread- and process-safe).
 
+    ``fingerprint`` is the job's own, already computed at submission.
     Returns ``(JobOutcome, EngineStats)``. A fresh engine per call keeps
     worker state disjoint (no shared memo dict across threads); the on-disk
     cache and the ledger are the shared substrate, and both are safe for
@@ -279,7 +286,7 @@ def _run_job(job: SimJob, cache_dir: Optional[str], use_cache: bool,
         progress_epoch=progress_epoch,
         ledger=ledger,
     )
-    outcome = engine.run_jobs([job])[0]
+    outcome = engine.run_jobs([job], fingerprints={job: fingerprint})[0]
     return outcome, engine.stats
 
 
@@ -519,9 +526,7 @@ class SimService:
         else:
             progress = _ThreadProgress(loop, record)
         try:
-            outcome, engine_stats = await self._execute(
-                loop, record.job, progress
-            )
+            outcome, engine_stats = await self._execute(loop, record, progress)
         except Exception as exc:  # pool broke mid-job: degrade, don't die
             outcome, engine_stats = await self._execute_fallback(
                 loop, record, progress, exc
@@ -532,7 +537,8 @@ class SimService:
         if outcome.ok:
             self.stats.completed += 1
             record.finish(
-                "done", outcome.source, outcome.wall_s, result=outcome.result
+                "done", outcome.source, outcome.wall_s, result=outcome.result,
+                result_fingerprint=outcome.result_fingerprint,
             )
             self._settle_attachments(record)
             if outcome.source == "run":
@@ -545,11 +551,12 @@ class SimService:
         async with self._cond:
             self._cond.notify_all()
 
-    async def _execute(self, loop, job: SimJob, progress):
+    async def _execute(self, loop, record: JobRecord, progress):
         return await loop.run_in_executor(
             self._executor,
             _run_job,
-            job,
+            record.job,
+            record.fingerprint,
             self.config.cache_dir,
             self.config.use_cache,
             self.config.kernel,
@@ -575,7 +582,7 @@ class SimService:
         self._execution = "thread"
         progress = _ThreadProgress(loop, record)
         try:
-            return await self._execute(loop, record.job, progress)
+            return await self._execute(loop, record, progress)
         except Exception as exc2:
             outcome = JobOutcome(record.job, error=repr(exc2), source="run")
             return outcome, EngineStats()
@@ -606,13 +613,22 @@ class SimService:
         record.attached = 0
 
     def _append_attach_ledger(self, record: JobRecord, source: str) -> None:
+        """One ledger line for a submission the record answered; it reuses
+        the record's fingerprints, so it hashes nothing but the config,
+        once per record."""
         if self._ledger is None or record.result is None:
             return
         outcome = JobOutcome(
-            record.job, result=record.result, source=source, wall_s=0.0
+            record.job, result=record.result, source=source, wall_s=0.0,
+            result_fingerprint=record.result_fingerprint,
         )
         try:
-            self._ledger.append(LedgerEntry.from_outcome(outcome, SCHEMA_VERSION))
+            if record.config_fingerprint is None:
+                record.config_fingerprint = record.job.config.fingerprint()
+            self._ledger.append(LedgerEntry.from_outcome(
+                outcome, SCHEMA_VERSION, record.fingerprint,
+                record.config_fingerprint,
+            ))
         except Exception:
             pass  # history is best-effort; never fail a request over it
 

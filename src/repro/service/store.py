@@ -81,15 +81,29 @@ class EvictionReport:
 
 
 def _scan(root: Path) -> List[Tuple[float, int, Path]]:
-    """(mtime, size, path) for every cache entry; unreadable ones skipped."""
+    """(mtime, size, path) for every cache entry; unreadable ones skipped.
+
+    A shard directory that vanishes mid-scan (another sweep pruned it) is
+    skipped too, where ``root.glob`` would raise.
+    """
     entries = []
-    for path in root.glob("*/*.json"):
-        try:
-            st = path.stat()
-        except OSError:
-            continue
-        entries.append((st.st_mtime, st.st_size, path))
+    for shard in _listdir(root):
+        for path in _listdir(shard):
+            if path.suffix != ".json":
+                continue
+            try:
+                st = path.stat()
+            except OSError:
+                continue
+            entries.append((st.st_mtime, st.st_size, path))
     return entries
+
+
+def _listdir(path: Path) -> List[Path]:
+    try:
+        return list(path.iterdir())
+    except OSError:  # gone, or not a directory
+        return []
 
 
 def evict_result_cache(

@@ -95,9 +95,9 @@ class TestResultCache:
         j = job()
         result = j.execute()
         cache.put(j.fingerprint(), j, result)
-        back = cache.get(j.fingerprint())
-        assert back is not None
+        back, back_fingerprint = cache.get(j.fingerprint())
         assert back.to_dict() == result.to_dict()
+        assert back_fingerprint == result.fingerprint()
         assert len(cache) == 1
 
     def test_missing_and_corrupt_entries_are_misses(self, tmp_path):
@@ -120,6 +120,80 @@ class TestResultCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.get(j.fingerprint()) is None
+
+
+def _truncate(path, envelope, other):
+    path.write_text(path.read_text(encoding="utf-8")[:-40], encoding="utf-8")
+
+
+def _swap_in_other_jobs_entry(path, envelope, other):
+    other.replace(path)
+
+
+def _tamper_one_metric(path, envelope, other):
+    name = sorted(envelope["result"]["metrics"])[0]
+    envelope["result"]["metrics"][name] += 1
+    path.write_text(json.dumps(envelope), encoding="utf-8")
+
+
+def _drop_result_fingerprint(path, envelope, other):
+    del envelope["result_fingerprint"]
+    path.write_text(json.dumps(envelope), encoding="utf-8")
+
+
+class TestVerifiedCacheReads:
+    """A cache entry is served only if its result rehashes to the result
+    fingerprint stored with it; anything else is a clean miss."""
+
+    def test_entry_stores_the_result_fingerprint(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        j = job()
+        result = j.execute()
+        cache.put(j.fingerprint(), j, result)
+        envelope = json.loads(cache.path_for(j.fingerprint()).read_text())
+        assert envelope["result_fingerprint"] == result.fingerprint()
+
+    @pytest.mark.parametrize("damage", [
+        _truncate, _swap_in_other_jobs_entry, _tamper_one_metric,
+        _drop_result_fingerprint,
+    ])
+    def test_damaged_entry_misses_and_resimulates(self, tmp_path, damage):
+        mine, other = job(), job(seed=SEED + 1)
+        ExperimentEngine(cache_dir=tmp_path).run_jobs([mine, other])
+        truth = mine.execute().fingerprint()
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(mine.fingerprint())
+        envelope = json.loads(path.read_text(encoding="utf-8"))
+        damage(path, envelope, cache.path_for(other.fingerprint()))
+        assert cache.get(mine.fingerprint()) is None
+
+        engine = ExperimentEngine(cache_dir=tmp_path)
+        outcome = engine.run_jobs([mine])[0]
+        assert (engine.stats.simulations, engine.stats.disk_hits) == (1, 0)
+        assert outcome.source == "run"
+        assert outcome.result.fingerprint() == outcome.result_fingerprint == truth
+        # the re-simulation rewrote the entry, which now verifies
+        assert cache.get(mine.fingerprint())[1] == truth
+
+    def test_disk_hit_hashes_once(self, tmp_path, monkeypatch):
+        j = job()
+        ExperimentEngine(cache_dir=tmp_path).run_jobs([j])
+        calls = []
+        real = engine_mod.RunResult.fingerprint
+
+        def counting(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(engine_mod.RunResult, "fingerprint", counting)
+        engine = ExperimentEngine(cache_dir=tmp_path)
+        outcome = engine.run_jobs([j])[0]
+        assert outcome.source == "disk"
+        assert len(calls) == 1  # the verification; the ledger reuses it
+        outcome = engine.run_jobs([j])[0]
+        assert outcome.source == "memory" and len(calls) == 1
+        sources = [e.source for e in engine.ledger.entries()]
+        assert sources == ["run", "disk", "memory"]
 
 
 class TestEngine:

@@ -145,6 +145,22 @@ class TestLocateReference:
         with pytest.raises(AddressError):
             make_fabric().locate(0, -1)
 
+    @pytest.mark.parametrize("shape", ["single", "tenants"])
+    def test_out_of_range_frame_rejected_not_aliased(self, shape):
+        # The memo key cxl_addr * num_frames + frame is injective only for
+        # in-range frames: (0, 32 * num_frames) packs like (32, 0).
+        fabric = make_fabric(64)
+        if shape == "tenants":
+            fabric = MemoryFabric(SystemConfig.small().with_tenants(2), 64,
+                                  StatRegistry())
+        first = fabric.locate(32, 0)
+        assert fabric.num_frames == 22
+        with pytest.raises(AddressError):
+            fabric.locate(0, 32 * fabric.num_frames)
+        with pytest.raises(AddressError):
+            fabric.locate(32, fabric.num_frames)
+        assert fabric.locate(32, 0) is first
+
 
 class TestMetadataAccess:
     def test_hit_costs_nothing(self):

@@ -8,6 +8,7 @@ fingerprints or result-cache behaviour.
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -64,6 +65,25 @@ class TestEntryRoundTrip:
         original = entry()
         restored = LedgerEntry.from_json_line(original.to_json_line())
         assert restored == original
+
+    def test_json_line_is_byte_identical_to_asdict_serialization(self):
+        engine = ExperimentEngine()
+        outcome = engine.run_jobs([job(model="salus")])[0]
+        real = LedgerEntry.from_outcome(outcome, SCHEMA_VERSION)
+        assert len(real.metrics) > 100  # a real metric tree, not a stub
+        for e in (real, entry(), entry(metrics={}, tenants=2)):
+            golden = json.dumps(asdict(e), sort_keys=True, separators=(",", ":"))
+            assert e.to_json_line() == golden
+
+    def test_from_outcome_takes_the_fingerprints_it_is_handed(self):
+        outcome = ExperimentEngine().run_jobs([job()])[0]
+        assert outcome.result_fingerprint == outcome.result.fingerprint()
+        e = LedgerEntry.from_outcome(outcome, SCHEMA_VERSION, "j" * 64, "c" * 64)
+        assert (e.job_fingerprint, e.config_fingerprint) == ("j" * 64, "c" * 64)
+        assert e.result_fingerprint == outcome.result_fingerprint
+        computed = LedgerEntry.from_outcome(outcome, SCHEMA_VERSION)
+        assert computed.job_fingerprint == job().fingerprint()
+        assert computed.config_fingerprint == CFG.fingerprint()
 
     def test_corrupt_line_is_skipped(self):
         assert LedgerEntry.from_json_line("{truncated") is None
@@ -125,6 +145,14 @@ class TestReplay:
         latest = ledger.latest_by_job()
         assert len(latest) == 1
         assert next(iter(latest.values())).source == "disk"
+
+    def test_append_recreates_a_removed_directory(self, tmp_path):
+        ledger = RunLedger(tmp_path / "cache")
+        ledger.append(entry(model="nosec"))
+        (tmp_path / "cache" / LEDGER_FILENAME).unlink()
+        (tmp_path / "cache").rmdir()
+        ledger.append(entry(model="salus"))
+        assert [e.model for e in ledger.entries()] == ["salus"]
 
     def test_missing_file_is_empty(self, tmp_path):
         assert len(RunLedger(tmp_path / "nowhere")) == 0

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.memsys.sectored_cache import SectoredCache
+from repro.memsys.sectored_cache import (
+    _MASK_TABLES,
+    SectoredCache,
+    _mask_to_sectors_slow,
+)
 
 
 def make_cache(total=1024, ways=2, line=128, sector=32):
@@ -151,3 +155,21 @@ def test_probe_agrees_with_access_history(accesses):
         present = cache.probe(line, sector)
         result = cache.access(line, sector)
         assert result.sector_hit == present
+
+
+class TestMaskTable:
+    @pytest.mark.parametrize("sectors", range(1, 9))
+    def test_shared_table_matches_slow_path(self, sectors):
+        assert list(_MASK_TABLES[sectors]) == [
+            _mask_to_sectors_slow(mask) for mask in range(1 << sectors)
+        ]
+
+    def test_one_table_per_width_shared_by_caches(self):
+        a = make_cache()
+        b = make_cache(total=2048)
+        assert a._mask_table is b._mask_table is _MASK_TABLES[4]
+
+    def test_wide_lines_use_the_slow_path(self):
+        cache = make_cache(total=4096, ways=2, line=512, sector=32)
+        assert cache._mask_table is None
+        assert cache._mask_to_sectors(0b1000000000000101) == (0, 2, 15)

@@ -13,7 +13,12 @@ Covers the ISSUE acceptance criteria:
 """
 
 import asyncio
+import gc
+import http.client
 import json
+import logging
+import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -49,6 +54,27 @@ def small_job(model="nosec", bench="nw", seed=SEED, n=N):
 
 def run_async(coro):
     return asyncio.run(coro)
+
+
+def count_calls(monkeypatch, cls, name):
+    """Patch ``cls.name`` to record each call; returns the call list."""
+    calls = []
+    real = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def take(*call_lists):
+    """How many calls each list holds, emptying them."""
+    counts = tuple(len(calls) for calls in call_lists)
+    for calls in call_lists:
+        del calls[:]
+    return counts
 
 
 # -- config round trip (what makes remote submission content-addressed) ------
@@ -280,6 +306,63 @@ class TestSimService:
         assert stats.cancelled == 2
         assert not RunLedger(tmp_path).entries()
 
+    def test_hash_budget_per_answer(self, tmp_path, monkeypatch):
+        """A result is hashed once, where it is produced or read back from
+        the cache, and a submission's job fingerprint once, at submit."""
+        result_hashes = count_calls(monkeypatch, RunResult, "fingerprint")
+        job_hashes = count_calls(monkeypatch, SimJob, "fingerprint")
+        job, rider = small_job(), small_job(seed=SEED + 1)
+
+        async def answer(service, job):
+            record, _ = service.submit(job)
+            await asyncio.wait_for(record.done.wait(), timeout=60)
+            return record
+
+        async def scenario():
+            budgets = {}
+            service = SimService(ServiceConfig(
+                workers=1, queue_depth=8, cache_dir=str(tmp_path)
+            ))
+            await service.start()
+            try:
+                assert (await answer(service, job)).source == "run"
+                budgets["run"] = take(result_hashes, job_hashes)
+                await answer(service, job)
+                budgets["memory"] = take(result_hashes, job_hashes)
+                await service.pause()
+                record, _ = service.submit(rider)
+                service.submit(rider)  # coalesces onto the queued record
+                await service.resume()
+                await asyncio.wait_for(record.done.wait(), timeout=60)
+                budgets["run + coalesced"] = take(result_hashes, job_hashes)
+            finally:
+                await service.shutdown(drain=True)
+            service = SimService(ServiceConfig(
+                workers=1, queue_depth=8, cache_dir=str(tmp_path)
+            ))
+            await service.start()
+            try:
+                assert (await answer(service, job)).source == "disk"
+                budgets["disk"] = take(result_hashes, job_hashes)
+            finally:
+                await service.shutdown(drain=True)
+            return budgets
+
+        budgets = run_async(scenario())
+        # (RunResult.fingerprint calls, SimJob.fingerprint calls)
+        assert budgets == {
+            "run": (1, 1), "memory": (0, 1), "run + coalesced": (1, 2),
+            "disk": (1, 1),
+        }
+        entries = RunLedger(tmp_path).entries()
+        assert [e.source for e in entries] == [
+            "run", "memory", "run", "coalesced", "disk",
+        ]
+        truth = {j.fingerprint(): j.execute().fingerprint() for j in (job, rider)}
+        for e in entries:
+            assert e.result_fingerprint == truth[e.job_fingerprint]
+            assert e.config_fingerprint == CFG.fingerprint()
+
     def test_draining_service_rejects_new_submissions(self, tmp_path):
         async def scenario():
             service = SimService(ServiceConfig(workers=1, queue_depth=4))
@@ -304,6 +387,7 @@ class ServerHarness:
         self.url = None
         self.loop = None
         self.service = None
+        self.server = None
         self._ready = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -314,11 +398,11 @@ class ServerHarness:
         self.loop = asyncio.get_running_loop()
         self.service = SimService(self.config)
         await self.service.start()
-        server = SimServiceServer(self.service, "127.0.0.1", 0)
-        await server.start()
-        self.url = server.url
+        self.server = SimServiceServer(self.service, "127.0.0.1", 0)
+        await self.server.start()
+        self.url = self.server.url
         self._ready.set()
-        await server.serve_until_shutdown()
+        await self.server.serve_until_shutdown()
 
     def __enter__(self):
         self._thread.start()
@@ -327,7 +411,8 @@ class ServerHarness:
 
     def __exit__(self, *exc):
         try:
-            ServiceClient(self.url).shutdown(drain=True)
+            with ServiceClient(self.url) as client:
+                client.shutdown(drain=True)
         except ServiceError:
             pass
         self._thread.join(timeout=60)
@@ -457,6 +542,150 @@ class TestServiceHTTP:
         assert len(list(Path(tmp_path).glob("*/*.json"))) <= 1
 
 
+    def test_result_reuses_the_server_side_hash(self, tmp_path, monkeypatch):
+        job = small_job("salus")
+        result_hashes = count_calls(monkeypatch, RunResult, "fingerprint")
+        with ServerHarness(tmp_path) as srv:
+            client = ServiceClient(srv.url)  # hashes nothing itself
+            client.submit(job)
+            envelope = client.result(job.fingerprint(), timeout_s=120)
+            assert take(result_hashes) == (1,)
+            client.submit(job)
+            again = client.result(job.fingerprint(), timeout_s=120)
+            assert take(result_hashes) == (0,)
+        assert again == {**envelope, "attached": 1}
+        assert envelope["result_fingerprint"] == job.execute().fingerprint()
+
+
+def raw_exchange(url, request: bytes, timeout=60.0) -> bytes:
+    """Send raw bytes, then read until the server closes the connection
+    (a server that kept it open makes this time out)."""
+    host, port = url.split("://", 1)[1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(request)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return data
+            data += chunk
+
+
+class TestKeepAlive:
+    def test_one_client_thread_uses_one_connection(self, tmp_path):
+        with ServerHarness(tmp_path) as srv:
+            client = ServiceClient(srv.url)
+            for seed in (81, 82, 81):
+                job = small_job(seed=seed)
+                client.submit(job)
+                envelope = client.result(job.fingerprint(), timeout_s=120)
+                assert envelope["state"] == "done"
+            client.health()
+            assert srv.server.accepted == 1
+            client.close()
+            client.health()  # reconnects
+            assert srv.server.accepted == 2
+
+    def test_shared_client_keeps_one_connection_per_thread(self, tmp_path):
+        threads_n, rounds = 8, 20
+        failures = []
+        with ServerHarness(tmp_path) as srv:
+            client = ServiceClient(srv.url)
+
+            def hammer():
+                try:
+                    for _ in range(rounds):
+                        assert client.health()["status"] == "ok"
+                except Exception as exc:  # reported below
+                    failures.append(repr(exc))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert failures == []
+            assert srv.server.accepted == threads_n
+            gc.collect()  # a finished thread's connection goes with it
+            assert len(client._connections) == 0
+
+    def test_client_reconnects_after_server_closes_idle_connection(self, tmp_path):
+        with ServerHarness(tmp_path) as srv:
+            client = ServiceClient(srv.url)
+            assert client.health()["status"] == "ok"
+            closed = threading.Event()
+
+            def close_idle():
+                idle = list(srv.server._idle)
+                for writer in idle:
+                    writer.close()
+                if idle:
+                    closed.set()
+
+            deadline = time.monotonic() + 10
+            while not closed.is_set() and time.monotonic() < deadline:
+                srv.loop.call_soon_threadsafe(close_idle)
+                closed.wait(0.05)
+            assert closed.is_set(), "the connection never went idle"
+            time.sleep(0.1)  # let the close reach the client's socket
+            assert client.health()["status"] == "ok"
+            assert srv.server.accepted == 2
+
+    def test_event_stream_closes_its_connection(self, tmp_path):
+        job = small_job()
+        with ServerHarness(tmp_path) as srv:
+            ServiceClient(srv.url).submit(job)
+            data = raw_exchange(
+                srv.url,
+                f"GET /jobs/{job.fingerprint()}/events HTTP/1.1\r\n"
+                f"Host: test\r\n\r\n".encode(),
+            )
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert b"Connection: close" in head
+        assert json.loads(body.splitlines()[-1])["kind"] == "result"
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"nonsense\r\n\r\n", b"400"),
+        (b"GET /healthz HTTP/1.0\r\n\r\n", b"200"),
+        (b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", b"200"),
+    ])
+    def test_malformed_and_closing_requests_close(self, tmp_path,
+                                                   request_bytes, status):
+        with ServerHarness(tmp_path) as srv:
+            data = raw_exchange(srv.url, request_bytes)
+        assert data.split(b"\r\n", 1)[0].split()[1] == status
+        assert b"Connection: close" in data
+
+    def test_shutdown_closes_idle_connections_promptly(self, tmp_path, caplog,
+                                                       capfd):
+        with caplog.at_level(logging.WARNING):
+            with ServerHarness(tmp_path) as srv:
+                host, port = srv.url.split("://", 1)[1].rsplit(":", 1)
+                idle = http.client.HTTPConnection(host, int(port), timeout=30)
+                idle.request("GET", "/healthz")
+                response = idle.getresponse()
+                response.read()
+                assert response.getheader("Connection") == "keep-alive"
+                started = time.monotonic()
+                with ServiceClient(srv.url) as client:
+                    client.shutdown(drain=True)
+                srv._thread.join(timeout=30)
+                elapsed = time.monotonic() - started
+                assert not srv._thread.is_alive()
+        assert elapsed < 5.0
+        idle.sock.settimeout(5)
+        assert idle.sock.recv(1) == b""  # the server closed it
+        idle.close()
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert "Traceback" not in capfd.readouterr().err
+
+
 class TestRemoteEngine:
     def test_remote_engine_is_a_drop_in(self, tmp_path):
         with ServerHarness(tmp_path) as srv:
@@ -480,6 +709,20 @@ class TestRemoteEngine:
             assert engine.last_outcomes == outcomes
         assert [o.job.model for o in outcomes] == ["nosec", "baseline"]
         assert all(o.ok and o.source == "run" for o in outcomes)
+
+    def test_result_not_matching_the_served_hash_is_rejected(self, tmp_path):
+        # The server hands out the hash it carried with the result; the
+        # client must still rehash and refuse a result that disagrees.
+        job = small_job()
+        with ServerHarness(tmp_path) as srv:
+            engine = RemoteEngine(srv.url)
+            assert engine.run_jobs([job])[0].ok
+            record = srv.service.get_record(job.fingerprint())
+            record.result_fingerprint = "0" * 64
+            outcome = engine.run_jobs([job])[0]
+        assert not outcome.ok
+        assert "result fingerprint mismatch" in outcome.error
+        assert engine.stats.errors == 1
 
     def test_unreachable_server_is_a_service_error(self):
         engine = RemoteEngine("http://127.0.0.1:1", timeout_s=2)
